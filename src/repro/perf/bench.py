@@ -175,7 +175,13 @@ def bench_experiments(quick: bool) -> list[dict[str, Any]]:
 
 
 def bench_serving(quick: bool) -> dict[str, Any]:
-    """Event-loop throughput of the fleet simulator on warmed estimates."""
+    """FIFO fast-path throughput of the fleet simulator on warmed estimates.
+
+    The fleet is an exact ``FIFOScheduler`` with no control plane, so
+    :meth:`~repro.serve.fleet.FleetSimulator.run` takes the closed-form FIFO
+    replay, not the discrete-event loop (``hot_path.fleet_dispatch`` times
+    the two against each other).
+    """
     from repro.experiments._serving import REFERENCE_MIX
     from repro.serve.fleet import FleetSimulator
     from repro.serve.request import PoissonStream

@@ -20,8 +20,9 @@ serves degraded-but-cheaper scenarios when the queue an arrival observes is
 deep, and an autoscaler grows / shrinks the active worker subset on a fixed
 control tick (scale-out pays a provisioning delay; scale-in drains).
 Admission and shedding are decided at ingress from integer queue depths, so
-FIFO fleets keep the batched fast path *and* its bit-identical guarantee;
-autoscaling's feedback loop runs on the event loop only.
+exact-FIFO fleets keep the closed-form fast path -- one per-request Python
+pass, bit-identical to the event loop -- with or without them; autoscaling's
+feedback loop runs on the event loop only.
 
 The event loop is deterministic: events are ordered by ``(time, kind,
 sequence number)``, all simultaneous events are drained before the
@@ -62,6 +63,10 @@ from repro.sim.sweep import SweepEngine, get_default_engine
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.serve.request import Request, Scenario
+
+#: Per-worker ``(service_s, energy_j)`` of one scenario, as the fast path
+#: caches them.
+_ServiceRow = tuple[tuple[float, ...], tuple[float, ...]]
 
 
 class _EventKind(enum.IntEnum):
@@ -302,25 +307,46 @@ class FleetSimulator:
         Worker state is per-run: calling ``run`` again on the same simulator
         starts from an idle fleet (only the engine's caches persist).
 
-        Plain FIFO fleets take the batched fast path
-        (:meth:`_run_fifo_batched`), which produces a bit-identical report
-        at an order of magnitude higher request throughput; every other
-        scheduler -- and any config with an autoscaler, whose tick feedback
-        has no closed form -- runs the discrete-event loop.  Admission and
-        shedding alone keep the fast path.
+        This is the only place that picks a path.  An exact
+        :class:`FIFOScheduler` fleet -- with no control plane, or with
+        admission and/or shedding -- takes the closed-form fast path
+        (:meth:`_run_fifo`), a per-request Python pass that produces a
+        bit-identical report at an order of magnitude higher request
+        throughput.  Every other scheduler, and any config with an
+        autoscaler (whose tick feedback has no closed form), runs the
+        discrete-event loop.
         """
         if type(self.scheduler) is FIFOScheduler and (
             self.control is None or self.control.fast_path_compatible
         ):
-            return self._run_fifo_batched(requests)
+            return self._run_fifo(requests)
         return self._run_event_loop(requests)
 
-    def _run_event_loop(self, requests: Sequence["Request"]) -> ServingReport:
-        """The general discrete-event engine (any scheduler, full control)."""
+    def _prepare(
+        self, requests: Sequence["Request"]
+    ) -> tuple[list[Worker], list["Request"], float]:
+        """Per-run workers, sorted SLA-stamped requests, offered arrival span."""
         workers = [
             Worker(index=i, name=name, device=device)
             for i, (name, device) in enumerate(self._fleet)
         ]
+        ordered = sorted(requests, key=lambda r: (r.arrival_s, r.request_id))
+        if self.default_sla_s is not None:
+            sla = self.default_sla_s
+            ordered = [
+                r
+                if r.deadline_s is not None
+                else dataclasses.replace(r, deadline_s=r.arrival_s + sla)
+                for r in ordered
+            ]
+        arrival_span = (
+            ordered[-1].arrival_s - ordered[0].arrival_s if ordered else 0.0
+        )
+        return workers, ordered, arrival_span
+
+    def _run_event_loop(self, requests: Sequence["Request"]) -> ServingReport:
+        """The general discrete-event engine (any scheduler, full control)."""
+        workers, ordered, arrival_span = self._prepare(requests)
         state = (
             _ControlState(self.control, workers)
             if self.control is not None and self.control.active
@@ -332,15 +358,7 @@ class FleetSimulator:
         # then by push order.
         events: list[tuple[float, int, int, object]] = []
         pending_arrivals = 0
-        ordered = sorted(requests, key=lambda r: (r.arrival_s, r.request_id))
-        arrival_span = (
-            ordered[-1].arrival_s - ordered[0].arrival_s if ordered else 0.0
-        )
         for request in ordered:
-            if request.deadline_s is None and self.default_sla_s is not None:
-                request = dataclasses.replace(
-                    request, deadline_s=request.arrival_s + self.default_sla_s
-                )
             heapq.heappush(
                 events,
                 (request.arrival_s, int(_EventKind.ARRIVAL), next(seq), request),
@@ -495,221 +513,50 @@ class FleetSimulator:
 
     # -- the FIFO fast path ----------------------------------------------------
 
-    def _run_fifo_batched(self, requests: Sequence["Request"]) -> ServingReport:
-        """Batched replay of a plain-FIFO fleet, bit-identical to the loop.
+    def _run_fifo(self, requests: Sequence["Request"]) -> ServingReport:
+        """Closed-form replay of an exact-FIFO fleet, bit-identical to the loop.
 
-        FIFO with single-request dispatch admits a closed-form schedule:
-        processing requests in ``(arrival, request_id)`` order, each either
-        starts immediately on the lowest-indexed worker already free at its
-        arrival, or waits for the earliest-freeing worker (lowest index on
-        ties) -- exactly what the event loop's drain-then-assign cycle
-        produces.  That turns the heap, the scheduler round-trips and the
-        per-event bookkeeping into one linear pass with per-scenario
-        service times resolved once per (scenario, worker) pair, which is
-        where the >=10x request throughput comes from.  Per-worker float
-        accumulation runs in the same dispatch order as the event loop, so
-        the resulting :class:`ServingReport` -- including the ``completed``
-        log -- is bit-identical (pinned by ``tests/serve/test_fleet.py``).
-
-        Admission and shedding configs take :meth:`_run_fifo_controlled`,
-        which extends the same closed form (the queue depth a request
-        observes at ingress is a pure function of already-computed start
-        times); the control-free hot loop below is untouched.
-        """
-        if self.control is not None and self.control.active:
-            return self._run_fifo_controlled(requests)
-        workers = [
-            Worker(index=i, name=name, device=device)
-            for i, (name, device) in enumerate(self._fleet)
-        ]
-        ordered = sorted(requests, key=lambda r: (r.arrival_s, r.request_id))
-        if self.default_sla_s is not None:
-            sla = self.default_sla_s
-            ordered = [
-                r
-                if r.deadline_s is not None
-                else dataclasses.replace(r, deadline_s=r.arrival_s + sla)
-                for r in ordered
-            ]
-        n = len(ordered)
-        k = len(workers)
-        labels = [w.label for w in workers]
-        arrival_span = (
-            ordered[-1].arrival_s - ordered[0].arrival_s if ordered else 0.0
-        )
-        # (service_s, energy_j) per worker, resolved once per scenario.
-        # Streams share scenario instances, so the id() probe almost always
-        # hits; the by-value fallback keeps distinct-but-equal scenario
-        # objects on the same cached frame simulation (requests keep their
-        # scenarios alive for the whole run, so ids stay valid).
-        rows_by_id: dict[int, tuple[tuple[float, ...], tuple[float, ...]]] = {}
-        rows_by_value: dict[object, tuple[tuple[float, ...], tuple[float, ...]]] = {}
-
-        free = [w.busy_until_s for w in workers]
-        busy = [0.0] * k
-        worker_energy = [0.0] * k
-        served = [0] * k
-        batches = [0] * k
-        completed: list[CompletedRequest] = []
-        ids: list[int] = []
-        arrivals: list[float] = []
-        starts: list[float] = []
-        finishes: list[float] = []
-        energies: list[float] = []
-        deadlines: list[float | None] = []
-        new_completion = CompletedRequest.__new__
-
-        for request in ordered:
-            scenario = request.scenario
-            row = rows_by_id.get(id(scenario))
-            if row is None:
-                row = rows_by_value.get(scenario)
-                if row is None:
-                    estimates = [
-                        self._estimate_scenario(scenario, w) for w in workers
-                    ]
-                    row = (
-                        tuple(
-                            w.device.service_time_s(e.latency_s, 1)
-                            for w, e in zip(workers, estimates)
-                        ),
-                        tuple(
-                            w.device.service_energy_j(e.energy_j, 1)
-                            for w, e in zip(workers, estimates)
-                        ),
-                    )
-                    rows_by_value[scenario] = row
-                rows_by_id[id(scenario)] = row
-            service_row, energy_row = row
-            arrival = request.arrival_s
-            chosen = -1
-            for j in range(k):
-                if free[j] <= arrival:
-                    chosen = j
-                    start = arrival
-                    break
-            if chosen < 0:
-                chosen = 0
-                start = free[0]
-                for j in range(1, k):
-                    if free[j] < start:
-                        start = free[j]
-                        chosen = j
-            service_s = service_row[chosen]
-            energy_j = energy_row[chosen]
-            finish = start + service_s
-            free[chosen] = finish
-            busy[chosen] += service_s
-            worker_energy[chosen] += energy_j
-            served[chosen] += 1
-            batches[chosen] += 1
-            # CompletedRequest construction dominates the pass at dataclass
-            # __init__ speed; __new__ plus direct __dict__ stores builds the
-            # same frozen instances ~3x faster (shed_level / quality fall
-            # back to the dataclass defaults on this control-free path).
-            record = new_completion(CompletedRequest)
-            fields = record.__dict__
-            fields["request"] = request
-            fields["worker"] = labels[chosen]
-            fields["start_s"] = start
-            fields["finish_s"] = finish
-            fields["batch_size"] = 1
-            fields["energy_j"] = energy_j
-            completed.append(record)
-            ids.append(request.request_id)
-            arrivals.append(arrival)
-            starts.append(start)
-            finishes.append(finish)
-            energies.append(energy_j)
-            deadlines.append(request.deadline_s)
-
-        for j, worker in enumerate(workers):
-            worker.busy_until_s = free[j]
-            worker.busy_s = busy[j]
-            worker.energy_j = worker_energy[j]
-            worker.requests_served = served[j]
-            worker.batches_served = batches[j]
-
-        arrival_col = np.asarray(arrivals, dtype=np.float64)
-        start_col = np.asarray(starts, dtype=np.float64)
-        finish_col = np.asarray(finishes, dtype=np.float64)
-        energy_col = np.asarray(energies, dtype=np.float64)
-        id_col = np.asarray(ids, dtype=np.int64)
-        if n and np.any(id_col[1:] < id_col[:-1]):
-            # Trace streams may number requests out of arrival order; the
-            # report contract is request-id order.
-            order = np.argsort(id_col, kind="stable")
-            arrival_col = arrival_col[order]
-            start_col = start_col[order]
-            finish_col = finish_col[order]
-            energy_col = energy_col[order]
-            positions = order.tolist()
-            completed = [completed[i] for i in positions]
-            deadlines = [deadlines[i] for i in positions]
-        return ServingReport.from_arrays(
-            scheduler=self.scheduler.name,
-            fleet=tuple(w.name for w in workers),
-            workers=workers,
-            completed=tuple(completed),
-            num_requests=len(requests),
-            arrivals=arrival_col,
-            starts=start_col,
-            finishes=finish_col,
-            deadlines=deadlines,
-            batch_sizes=[1] * n,
-            energies=energy_col,
-            arrival_span_s=arrival_span,
-        )
-
-    def _run_fifo_controlled(self, requests: Sequence["Request"]) -> ServingReport:
-        """The FIFO fast path with admission control and quality shedding.
-
-        Extends the closed form of :meth:`_run_fifo_batched`: both controls
-        are decided at ingress from the queue depth the arrival observes,
-        and in FIFO order that depth is exactly ``admitted so far minus
-        starts before this arrival`` -- start times are non-decreasing in
-        ``(arrival, request_id)`` order, so one :func:`bisect_left` over
-        the running start list recovers the event loop's ``len(queue)``
-        bit for bit (the differential fuzz suite pins this).  Service rows
-        are resolved once per (scenario, shed level, worker).
+        FIFO with single-request dispatch admits a closed-form schedule: in
+        ``(arrival, request_id)`` order, each request starts at once on the
+        lowest-indexed worker free at its arrival, or waits for the
+        earliest-freeing worker (lowest index on ties) -- exactly what the
+        event loop's drain-then-assign cycle produces.  Admission and
+        shedding are decided at ingress from the queue depth the arrival
+        observes, which in FIFO order is ``admitted so far minus starts
+        before this arrival``: start times are non-decreasing, so one
+        :func:`bisect_left` over the running start list recovers the event
+        loop's ``len(queue)``.  Without a control plane nothing is rejected
+        and every request is served at level 0, quality 1.0.  One Python
+        pass replaces the heap and the scheduler round-trips, with service
+        rows resolved once per (scenario, shed level); float accumulation
+        follows the event loop's dispatch order, so the report and its
+        ``completed`` log are bit-identical (pinned by
+        ``tests/serve/test_fleet_fast_path.py`` and the differential fuzz).
         """
         control = self.control
-        assert control is not None
         session = (
-            control.admission.session() if control.admission is not None else None
+            control.admission.session()
+            if control is not None and control.admission is not None
+            else None
         )
-        shedder = control.shedder
+        shedder = control.shedder if control is not None else None
         ladder = shedder.ladder if shedder is not None else None
-        workers = [
-            Worker(index=i, name=name, device=device)
-            for i, (name, device) in enumerate(self._fleet)
-        ]
-        ordered = sorted(requests, key=lambda r: (r.arrival_s, r.request_id))
-        if self.default_sla_s is not None:
-            sla = self.default_sla_s
-            ordered = [
-                r
-                if r.deadline_s is not None
-                else dataclasses.replace(r, deadline_s=r.arrival_s + sla)
-                for r in ordered
-            ]
+        workers, ordered, arrival_span = self._prepare(requests)
         k = len(workers)
         labels = [w.label for w in workers]
-        arrival_span = (
-            ordered[-1].arrival_s - ordered[0].arrival_s if ordered else 0.0
-        )
-        rows_by_key: dict[
-            tuple[int, int], tuple[tuple[float, ...], tuple[float, ...]]
-        ] = {}
-        rows_by_value: dict[
-            tuple[object, int], tuple[tuple[float, ...], tuple[float, ...]]
-        ] = {}
+        # (service_s, energy_j) per worker, resolved once per (scenario,
+        # level).  Streams share scenario instances, so the id() probe
+        # almost always hits; the by-value fallback keeps distinct-but-equal
+        # scenario objects on the same cached frame simulation (requests
+        # keep their scenarios alive for the whole run, so ids stay valid).
+        levels = range(ladder.depth + 1 if ladder is not None else 1)
+        rows_by_id: list[dict[int, _ServiceRow]] = [{} for _ in levels]
+        rows_by_value: list[dict[object, _ServiceRow]] = [{} for _ in levels]
 
         free = [w.busy_until_s for w in workers]
         busy = [0.0] * k
         worker_energy = [0.0] * k
         served = [0] * k
-        batches = [0] * k
         completed: list[CompletedRequest] = []
         rejected: list[RejectedRequest] = []
         ids: list[int] = []
@@ -720,38 +567,37 @@ class FleetSimulator:
         deadlines: list[float | None] = []
         qualities: list[float] = []
         shed_levels: list[int] = []
-        admitted = 0
         new_completion = CompletedRequest.__new__
 
+        # A control-free run skips the depth probe: the bisect alone cost
+        # the plain 144k-request day about 15% of its pass.
+        controlled = session is not None or shedder is not None
         for request in ordered:
             arrival = request.arrival_s
-            # Queue depth this arrival observes: previously admitted
-            # requests whose service has not started strictly before it.
-            depth = admitted - bisect_left(starts, arrival)
-            if session is not None and not session.admit(arrival, depth):
-                rejected.append(
-                    RejectedRequest(
-                        request=request, time_s=arrival, reason=session.reason
+            level = 0
+            if controlled:
+                # Queue depth this arrival observes: previously admitted
+                # requests whose service has not started strictly before it.
+                depth = len(starts) - bisect_left(starts, arrival)
+                if session is not None and not session.admit(arrival, depth):
+                    rejected.append(
+                        RejectedRequest(
+                            request=request, time_s=arrival, reason=session.reason
+                        )
                     )
-                )
-                continue
-            level = (
-                shedder.level(depth, k)
-                if shedder is not None and request.degradable
-                else 0
-            )
+                    continue
+                if shedder is not None and request.degradable:
+                    level = shedder.level(depth, k)
             scenario = request.scenario
-            key = (id(scenario), level)
-            row = rows_by_key.get(key)
+            row = rows_by_id[level].get(id(scenario))
             if row is None:
-                value_key = (scenario, level)
-                row = rows_by_value.get(value_key)
+                row = rows_by_value[level].get(scenario)
                 if row is None:
-                    serve_scenario = (
+                    served_scenario = (
                         ladder.apply(scenario, level) if level else scenario
                     )
                     estimates = [
-                        self._estimate_scenario(serve_scenario, w) for w in workers
+                        self._estimate_scenario(served_scenario, w) for w in workers
                     ]
                     row = (
                         tuple(
@@ -763,8 +609,8 @@ class FleetSimulator:
                             for w, e in zip(workers, estimates)
                         ),
                     )
-                    rows_by_value[value_key] = row
-                rows_by_key[key] = row
+                    rows_by_value[level][scenario] = row
+                rows_by_id[level][id(scenario)] = row
             service_row, energy_row = row
             chosen = -1
             for j in range(k):
@@ -786,8 +632,12 @@ class FleetSimulator:
             busy[chosen] += service_s
             worker_energy[chosen] += energy_j
             served[chosen] += 1
-            batches[chosen] += 1
-            quality = ladder.quality_of(level) if ladder is not None else 1.0
+            quality = ladder.quality_of(level) if level else 1.0
+            # CompletedRequest construction dominates the pass at dataclass
+            # __init__ speed; __new__ plus direct __dict__ stores builds the
+            # same frozen instances ~3x faster.  Every record stores all
+            # eight fields in declaration order, so the instance dicts share
+            # one key table.
             record = new_completion(CompletedRequest)
             fields = record.__dict__
             fields["request"] = request
@@ -799,7 +649,6 @@ class FleetSimulator:
             fields["shed_level"] = level
             fields["quality"] = quality
             completed.append(record)
-            admitted += 1
             ids.append(request.request_id)
             arrivals.append(arrival)
             starts.append(start)
@@ -814,7 +663,7 @@ class FleetSimulator:
             worker.busy_s = busy[j]
             worker.energy_j = worker_energy[j]
             worker.requests_served = served[j]
-            worker.batches_served = batches[j]
+            worker.batches_served = served[j]
 
         n = len(completed)
         arrival_col = np.asarray(arrivals, dtype=np.float64)
@@ -823,16 +672,17 @@ class FleetSimulator:
         energy_col = np.asarray(energies, dtype=np.float64)
         id_col = np.asarray(ids, dtype=np.int64)
         if n and np.any(id_col[1:] < id_col[:-1]):
+            # Trace streams may number requests out of arrival order; the
+            # report contract is request-id order.
             order = np.argsort(id_col, kind="stable")
-            arrival_col = arrival_col[order]
-            start_col = start_col[order]
-            finish_col = finish_col[order]
-            energy_col = energy_col[order]
+            arrival_col, start_col, finish_col, energy_col = (
+                col[order] for col in (arrival_col, start_col, finish_col, energy_col)
+            )
             positions = order.tolist()
-            completed = [completed[i] for i in positions]
-            deadlines = [deadlines[i] for i in positions]
-            qualities = [qualities[i] for i in positions]
-            shed_levels = [shed_levels[i] for i in positions]
+            completed, deadlines, qualities, shed_levels = (
+                [col[i] for i in positions]
+                for col in (completed, deadlines, qualities, shed_levels)
+            )
         return ServingReport.from_arrays(
             scheduler=self.scheduler.name,
             fleet=tuple(w.name for w in workers),

@@ -258,8 +258,8 @@ class ServingReport:
         deadlines: Sequence[float | None],
         batch_sizes: Sequence[int],
         energies: np.ndarray,
-        qualities: Sequence[float] | None = None,
-        shed_levels: Sequence[int] | None = None,
+        qualities: Sequence[float],
+        shed_levels: Sequence[int],
         rejected: Sequence[RejectedRequest] = (),
         arrival_span_s: float | None = None,
         peak_active_workers: int | None = None,
@@ -309,11 +309,9 @@ class ServingReport:
             met = int(np.count_nonzero(finishes <= deadline_bounds))
         else:
             met = 0
-        if qualities is None:
-            qualities = []
         quality_list = list(qualities)
         ordered_qualities = sorted(quality_list)
-        shed = sum(1 for level in shed_levels if level > 0) if shed_levels else 0
+        shed = sum(1 for level in shed_levels if level > 0)
         rejected_log = tuple(
             sorted(rejected, key=lambda r: r.request.request_id)
         )
@@ -349,9 +347,9 @@ class ServingReport:
             rejected_requests=len(rejected_log),
             shed_requests=shed,
             met_deadline_requests=met,
-            mean_quality=sum(quality_list) / n if quality_list else 1.0,
-            p50_quality=sorted_percentile(ordered_qualities, 50.0) if quality_list else 1.0,
-            p05_quality=sorted_percentile(ordered_qualities, 5.0) if quality_list else 1.0,
+            mean_quality=sum(quality_list) / n if n else 1.0,
+            p50_quality=sorted_percentile(ordered_qualities, 50.0) if n else 1.0,
+            p05_quality=sorted_percentile(ordered_qualities, 5.0) if n else 1.0,
             peak_active_workers=(
                 peak_active_workers
                 if peak_active_workers is not None

@@ -20,8 +20,8 @@ from repro.perf.distributed import normalize_result_json
 def assert_fast_path_matches_event_loop(simulator, requests, context=""):
     """Assert the fast path and event loop produce identical reports.
 
-    Runs ``simulator`` both ways (``run`` takes the numpy fast path for
-    plain-FIFO fleets; ``_run_event_loop`` is the reference discrete-event
+    Runs ``simulator`` both ways (``run`` takes the closed-form fast path
+    for exact-FIFO fleets without an autoscaler; ``_run_event_loop`` is the reference discrete-event
     implementation) and asserts the reports -- including the per-request
     completion log, rejection log and per-worker stats excluded from
     dataclass equality -- are bit-identical.  Returns the fast-path report

@@ -1,8 +1,10 @@
-"""The batched FIFO fast path is bit-identical to the event loop.
+"""The closed-form FIFO fast path is bit-identical to the event loop.
 
-``FleetSimulator.run`` routes plain-FIFO fleets through
-``_run_fifo_batched``; every other scheduler keeps the discrete-event
-loop.  These tests pin the equivalence contract: for every fleet shape,
+``FleetSimulator.run`` routes exact-``FIFOScheduler`` fleets -- with no
+control plane, or with admission and/or quality shedding -- through
+``_run_fifo``, one per-request Python pass; every other scheduler, and any
+fleet with an autoscaler, keeps the discrete-event loop.  These tests pin
+the path selection and the equivalence contract: for every fleet shape,
 load level and SLA configuration, the fast path's ``ServingReport`` --
 including the per-completion log and per-worker stats -- equals the event
 loop's report exactly (frozen-dataclass equality, which compares IEEE-754
@@ -11,6 +13,14 @@ doubles bit for bit).
 
 import pytest
 
+from repro.serve.control import (
+    ControlConfig,
+    DegradationLadder,
+    DegradationStep,
+    QueueCapAdmission,
+    QueueDepthAutoscaler,
+    QueueDepthShedder,
+)
 from repro.serve.fleet import FleetSimulator
 from repro.serve.request import PoissonStream, Scenario, ScenarioMix, TraceStream
 from repro.serve.scheduler import BatchDeadlineScheduler, FIFOScheduler
@@ -23,6 +33,12 @@ MIX = ScenarioMix(
     ),
     weights=(3.0, 1.0),
 )
+
+LADDER = DegradationLadder(
+    steps=(DegradationStep("half-res", resolution_scale=0.5),), qualities=(0.8,)
+)
+ADMISSION = QueueCapAdmission(max_queue=2)
+SHEDDER = QueueDepthShedder(LADDER, depth_per_step=1)
 
 
 def assert_reports_identical(simulator, requests):
@@ -80,9 +96,22 @@ class TestFastPathEquivalence:
         simulator = FleetSimulator(("flexnerfer",), engine=SweepEngine())
         assert_reports_identical(simulator, ())
 
-    def test_fast_path_actually_selected_for_fifo(self, monkeypatch):
-        stream = PoissonStream(rate_rps=40.0, duration_s=2.0, mix=MIX, sla_s=0.2)
-        simulator = FleetSimulator(("flexnerfer",), engine=SweepEngine())
+    @pytest.mark.parametrize(
+        "control",
+        [
+            None,
+            ControlConfig(admission=ADMISSION),
+            ControlConfig(shedder=SHEDDER),
+            ControlConfig(admission=ADMISSION, shedder=SHEDDER),
+        ],
+        ids=["none", "admission", "shedding", "admission+shedding"],
+    )
+    def test_fast_path_actually_selected_for_fifo(self, monkeypatch, control):
+        # Overloaded, so every configured control actually acts.
+        stream = PoissonStream(rate_rps=400.0, duration_s=1.0, mix=MIX, sla_s=0.2)
+        simulator = FleetSimulator(
+            ("flexnerfer",), engine=SweepEngine(), control=control
+        )
 
         def bomb(requests):  # pragma: no cover - must not run
             raise AssertionError("FIFO fleet fell back to the event loop")
@@ -90,6 +119,10 @@ class TestFastPathEquivalence:
         monkeypatch.setattr(simulator, "_run_event_loop", bomb)
         report = simulator.run(stream.generate(seed=0))
         assert report.scheduler == "fifo"
+        has_admission = control is not None and control.admission is not None
+        has_shedder = control is not None and control.shedder is not None
+        assert (report.rejected_requests > 0) == has_admission
+        assert (report.shed_requests > 0) == has_shedder
 
     def test_non_fifo_scheduler_uses_event_loop(self, monkeypatch):
         stream = PoissonStream(rate_rps=40.0, duration_s=2.0, mix=MIX, sla_s=0.2)
@@ -102,7 +135,7 @@ class TestFastPathEquivalence:
         def bomb(requests):  # pragma: no cover - must not run
             raise AssertionError("non-FIFO fleet took the FIFO fast path")
 
-        monkeypatch.setattr(simulator, "_run_fifo_batched", bomb)
+        monkeypatch.setattr(simulator, "_run_fifo", bomb)
         simulator.run(stream.generate(seed=0))
 
     def test_fifo_subclass_uses_event_loop(self, monkeypatch):
@@ -119,5 +152,27 @@ class TestFastPathEquivalence:
         def bomb(requests):  # pragma: no cover - must not run
             raise AssertionError("FIFO subclass took the FIFO fast path")
 
-        monkeypatch.setattr(simulator, "_run_fifo_batched", bomb)
+        monkeypatch.setattr(simulator, "_run_fifo", bomb)
         simulator.run(stream.generate(seed=0))
+
+    def test_fifo_with_autoscaler_uses_event_loop(self, monkeypatch):
+        # The autoscaler's tick feedback has no closed form, so a FIFO
+        # fleet with one runs the event loop even alongside fast-path-able
+        # admission and shedding.
+        stream = PoissonStream(rate_rps=40.0, duration_s=2.0, mix=MIX, sla_s=0.2)
+        simulator = FleetSimulator(
+            ("flexnerfer", "flexnerfer"),
+            engine=SweepEngine(),
+            control=ControlConfig(
+                admission=ADMISSION,
+                shedder=SHEDDER,
+                autoscaler=QueueDepthAutoscaler(min_workers=1),
+            ),
+        )
+
+        def bomb(requests):  # pragma: no cover - must not run
+            raise AssertionError("autoscaled FIFO fleet took the FIFO fast path")
+
+        monkeypatch.setattr(simulator, "_run_fifo", bomb)
+        report = simulator.run(stream.generate(seed=0))
+        assert report.scheduler == "fifo"

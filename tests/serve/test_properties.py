@@ -17,7 +17,7 @@ for every one of them:
 * **determinism** -- re-running the identical configuration (fresh
   admission-session state and all) reproduces the report bit for bit;
 * **differential equivalence** -- for exact-FIFO fleets, the closed-form
-  batched fast path and the discrete-event loop produce *identical*
+  fast path and the discrete-event loop produce *identical*
   reports, completion logs, rejection logs and worker stats.
 
 The iteration budget defaults to 200 combined configurations and is
