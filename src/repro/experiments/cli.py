@@ -67,18 +67,21 @@ one-line message -- never a traceback.
 (:mod:`repro.perf.store`) by default, so re-runs with an unchanged
 simulation model skip cycle-level simulation entirely; ``--no-store``
 bypasses it.  The command surface below is described declaratively by
-:data:`COMMANDS`, which both this usage text and the generated
-``docs/experiments.md`` catalog render, so ``repro docs --check`` guards
-the documented CLI against drift.
+:data:`COMMANDS`: each subcommand's :mod:`argparse` parser is generated
+from its spec (:func:`build_parser`, so ``repro <command> --help`` lists
+that command's options), and the same specs render this usage text and
+the generated ``docs/experiments.md`` catalog, so ``repro docs --check``
+guards the documented CLI against drift.
 """
 
 from __future__ import annotations
 
+import argparse
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Sequence, TextIO
+from typing import Any, Callable, NoReturn, Sequence, TextIO
 
 from repro.experiments.api import (
     BadParamError,
@@ -96,29 +99,106 @@ from repro.experiments.registry import (
 RUN_FORMATS = ("table", "json", "csv")
 LIST_FORMATS = ("table", "json")
 
+#: The pseudo-option standing for every experiment parameter flag.
+_PARAM_FLAG = "--<param>"
+
+
+# -- option value parsers -----------------------------------------------------
+# Each raises ArgumentTypeError; the parser reports it as ``--flag: message``.
+
+
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int '{text}'") from None
+
+
+def _number(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid number '{text}'") from None
+
+
+def _jobs(text: str) -> int:
+    jobs = _int(text)
+    if jobs < 1:
+        raise argparse.ArgumentTypeError("must be >= 1")
+    return jobs
+
+
+def _shard(text: str):
+    """An ``I/N`` shard designator as a :class:`~repro.perf.distributed.Shard`."""
+    from repro.perf.distributed import Shard
+
+    try:
+        index, count = map(int, text.split("/"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid shard '{text}' (expected I/N)"
+        ) from None
+    try:
+        return Shard(index, count)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _choice(label: str, choices: tuple[str, ...]) -> Callable[[str], str]:
+    """A parser accepting one of ``choices`` (e.g. an output format)."""
+
+    def parse(text: str) -> str:
+        if text not in choices:
+            raise argparse.ArgumentTypeError(
+                f"invalid {label} '{text}'; valid: {', '.join(choices)}"
+            )
+        return text
+
+    return parse
+
 
 @dataclass(frozen=True)
 class CommandOption:
-    """One documented option of a CLI command (usage + generated catalog)."""
+    """One option of a CLI command: parsing, usage and generated catalog.
+
+    ``value`` is the metavar: an empty one makes a bare switch, and one of
+    several words (``A.json B.json``) collects a list whose length the
+    command checks.  ``parse`` converts (and validates) each value;
+    ``action`` restricts the option to one value of the command's action
+    operand (``repro cache``).
+    """
 
     flag: str
     value: str
     help: str
+    parse: Callable[[str], Any] = str
+    required: bool = False
+    action: str | None = None
 
     @property
     def syntax(self) -> str:
         """The option as written on a command line, e.g. ``--jobs N``."""
         return f"{self.flag} {self.value}".strip()
 
+    @property
+    def switch(self) -> bool:
+        """True for a bare ``--flag`` that takes no value."""
+        return not self.value
+
+    @property
+    def dest(self) -> str:
+        """The parsed namespace attribute, e.g. ``no_store`` for ``--no-store``."""
+        return self.flag.removeprefix("--").replace("-", "_")
+
 
 @dataclass(frozen=True)
 class CommandSpec:
     """One ``repro`` subcommand: name, operands, summary and options.
 
-    The usage screen and the CLI section of the generated experiment
-    catalog are both rendered from these specs, so the documented command
-    surface cannot drift from the implemented one without failing
-    ``repro docs --check``.
+    The usage screen, each subcommand's argparse parser and the CLI
+    section of the generated experiment catalog are all built from these
+    specs, so the documented command surface cannot drift from the
+    implemented one without failing ``repro docs --check``.
     """
 
     name: str
@@ -127,6 +207,9 @@ class CommandSpec:
     options: tuple[CommandOption, ...] = ()
 
 
+_RUN_FORMAT = _choice("format", RUN_FORMATS)
+_SELECTORS = ("selectors", "experiment ids, tag:TAG groups, or 'all'")
+
 #: The documented ``repro`` command surface, in help order.
 COMMANDS: tuple[CommandSpec, ...] = (
     CommandSpec(
@@ -134,32 +217,32 @@ COMMANDS: tuple[CommandSpec, ...] = (
         "list registered experiments",
         options=(
             CommandOption("--tags", "TAG[,TAG]", "only experiments carrying any given tag"),
-            CommandOption("--format", "table|json", "json includes the typed parameter schemas"),
+            CommandOption("--format", "table|json", "json includes the typed parameter schemas", _choice("list format", LIST_FORMATS)),
         ),
     ),
     CommandSpec(
         "run",
         "run experiments and render / write their results",
-        operands=(("selectors", "experiment ids, tag:TAG groups, or 'all'"),),
+        operands=(_SELECTORS,),
         options=(
-            CommandOption("--format", "table|json|csv", "output rendering"),
-            CommandOption("--out", "DIR", "write one artifact file per experiment"),
-            CommandOption("--jobs", "N", "run up to N experiments concurrently"),
+            CommandOption("--format", "table|json|csv", "output rendering", _RUN_FORMAT),
+            CommandOption("--out", "DIR", "write one artifact file per experiment", Path),
+            CommandOption("--jobs", "N", "run up to N experiments concurrently", _jobs),
             CommandOption("--no-store", "", "bypass the persistent result store (force cold simulation)"),
-            CommandOption("--<param>", "VALUE", "any selected experiment's typed parameter"),
+            CommandOption(_PARAM_FLAG, "VALUE", "any selected experiment's typed parameter"),
         ),
     ),
     CommandSpec(
         "shard",
         "run one deterministic shard of an experiment set into the store",
-        operands=(("selectors", "experiment ids, tag:TAG groups, or 'all'"),),
+        operands=(_SELECTORS,),
         options=(
-            CommandOption("--index", "I", "this shard's index, in [0, count)"),
-            CommandOption("--count", "N", "total number of shards"),
-            CommandOption("--store", "DIR", "result store to populate (default: $REPRO_STORE_DIR or .repro-store)"),
-            CommandOption("--pack", "PATH", "export the populated store as a portable pack file (whole store: use a fresh --store for a minimal pack)"),
-            CommandOption("--jobs", "N", "run up to N of the shard's experiments concurrently"),
-            CommandOption("--<param>", "VALUE", "any selected experiment's typed parameter"),
+            CommandOption("--index", "I", "this shard's index, in [0, count)", _int, required=True),
+            CommandOption("--count", "N", "total number of shards", _int, required=True),
+            CommandOption("--store", "DIR", "result store to populate (default: $REPRO_STORE_DIR or .repro-store)", Path),
+            CommandOption("--pack", "PATH", "export the populated store as a portable pack file (whole store: use a fresh --store for a minimal pack)", Path),
+            CommandOption("--jobs", "N", "run up to N of the shard's experiments concurrently", _jobs),
+            CommandOption(_PARAM_FLAG, "VALUE", "any selected experiment's typed parameter"),
         ),
     ),
     CommandSpec(
@@ -167,13 +250,13 @@ COMMANDS: tuple[CommandSpec, ...] = (
         "merge shard packs into one store and replay the results store-warm",
         operands=(("packs", "pack files written by 'repro shard --pack'"),),
         options=(
-            CommandOption("--store", "DIR", "store to merge into (default: $REPRO_STORE_DIR or .repro-store)"),
+            CommandOption("--store", "DIR", "store to merge into (default: $REPRO_STORE_DIR or .repro-store)", Path),
             CommandOption("--run", "SELECTORS", "experiments to replay after merging (default: all)"),
-            CommandOption("--format", "table|json|csv", "output rendering (default: json)"),
-            CommandOption("--out", "DIR", "write one artifact file per experiment"),
-            CommandOption("--check", "DIR", "verify replayed artifacts match a reference directory (wall-clock field excluded)"),
+            CommandOption("--format", "table|json|csv", "output rendering (default: json)", _RUN_FORMAT),
+            CommandOption("--out", "DIR", "write one artifact file per experiment", Path),
+            CommandOption("--check", "DIR", "verify replayed artifacts match a reference directory (wall-clock field excluded)", Path),
             CommandOption("--no-run", "", "merge only; skip the replay"),
-            CommandOption("--<param>", "VALUE", "typed parameter for the replay (pass the same values the shards used)"),
+            CommandOption(_PARAM_FLAG, "VALUE", "typed parameter for the replay (pass the same values the shards used)"),
         ),
     ),
     CommandSpec(
@@ -181,16 +264,16 @@ COMMANDS: tuple[CommandSpec, ...] = (
         "search a fleet plan space and report its Pareto frontier",
         operands=(("spec", "built-in plan-space name (tiny, reference) or a JSON spec file"),),
         options=(
-            CommandOption("--shard", "I/N", "evaluate only this shard of the space's plan points"),
-            CommandOption("--pack", "PATH", "export the populated store as a portable pack file"),
-            CommandOption("--format", "table|json|csv", "output rendering (default: table)"),
-            CommandOption("--out", "PATH", "write the rendered plan to a file instead of stdout"),
-            CommandOption("--check", "PATH", "verify output matches a reference file (wall-clock field excluded)"),
-            CommandOption("--store", "DIR", "result store caching evaluated points (default: $REPRO_STORE_DIR or .repro-store)"),
+            CommandOption("--shard", "I/N", "evaluate only this shard of the space's plan points", _shard),
+            CommandOption("--pack", "PATH", "export the populated store as a portable pack file", Path),
+            CommandOption("--format", "table|json|csv", "output rendering (default: table)", _RUN_FORMAT),
+            CommandOption("--out", "PATH", "write the rendered plan to a file instead of stdout", Path),
+            CommandOption("--check", "PATH", "verify output matches a reference file (wall-clock field excluded)", Path),
+            CommandOption("--store", "DIR", "result store caching evaluated points (default: $REPRO_STORE_DIR or .repro-store)", Path),
             CommandOption("--no-store", "", "bypass the persistent result store (force re-evaluation)"),
-            CommandOption("--jobs", "N", "evaluate up to N candidates concurrently"),
-            CommandOption("--sla-ms", "X", "constraint: cheapest point with p99 <= X milliseconds"),
-            CommandOption("--min-attainment", "F", "constraint: require SLO attainment >= F (in [0, 1])"),
+            CommandOption("--jobs", "N", "evaluate up to N candidates concurrently", _jobs),
+            CommandOption("--sla-ms", "X", "constraint: cheapest point with p99 <= X milliseconds", _number),
+            CommandOption("--min-attainment", "F", "constraint: require SLO attainment >= F (in [0, 1])", _number),
         ),
     ),
     CommandSpec(
@@ -206,7 +289,7 @@ COMMANDS: tuple[CommandSpec, ...] = (
         "docs",
         "regenerate the experiment catalog (docs/experiments.md)",
         options=(
-            CommandOption("--out", "PATH", "where to write the catalog"),
+            CommandOption("--out", "PATH", "where to write the catalog", Path),
             CommandOption("--check", "", "exit 1 if the checked-in catalog is stale"),
         ),
     ),
@@ -214,10 +297,10 @@ COMMANDS: tuple[CommandSpec, ...] = (
         "lint",
         "run the determinism / cache-safety static-analysis pass",
         options=(
-            CommandOption("--format", "table|json", "diagnostic rendering (default: table)"),
+            CommandOption("--format", "table|json", "diagnostic rendering (default: table)", _choice("lint format", LIST_FORMATS)),
             CommandOption("--rules", "ID[,ID]", "run only the given rule ids (default: all)"),
-            CommandOption("--root", "PATH", "tree to lint (default: the installed repro package sources)"),
-            CommandOption("--baseline", "PATH", "baseline file (default: lint-baseline.json at the checkout root)"),
+            CommandOption("--root", "PATH", "tree to lint (default: the installed repro package sources)", Path),
+            CommandOption("--baseline", "PATH", "baseline file (default: lint-baseline.json at the checkout root)", Path),
             CommandOption("--update-baseline", "", "rewrite the baseline to grandfather every current finding"),
         ),
     ),
@@ -226,11 +309,11 @@ COMMANDS: tuple[CommandSpec, ...] = (
         "measure a BENCH_<rev>.json performance trajectory point",
         options=(
             CommandOption("--quick", "", "CI-smoke footprint (small sweep, 5 experiments)"),
-            CommandOption("--out", "PATH", "output file or directory (default: checkout root)"),
-            CommandOption("--validate", "PATH", "schema-check an existing BENCH file instead of measuring"),
-            CommandOption("--compare", "A.json B.json", "print regression deltas between two BENCH documents (matched quick flags)"),
+            CommandOption("--out", "PATH", "output file or directory (default: checkout root)", Path),
+            CommandOption("--validate", "PATH", "schema-check an existing BENCH file instead of measuring", Path),
+            CommandOption("--compare", "A.json B.json", "print regression deltas between two BENCH documents (matched quick flags)", Path),
             CommandOption("--trend", "", "render the committed BENCH_*.json trajectory as one scoreboard row per point"),
-            CommandOption("--dir", "PATH", "trend: directory holding the BENCH_*.json points (default: checkout root)"),
+            CommandOption("--dir", "PATH", "trend: directory holding the BENCH_*.json points (default: checkout root)", Path),
         ),
     ),
     CommandSpec(
@@ -238,13 +321,15 @@ COMMANDS: tuple[CommandSpec, ...] = (
         "inspect or prune the persistent result store",
         operands=(("action", "stats | clear | evict"),),
         options=(
-            CommandOption("--dir", "PATH", "store directory (default: $REPRO_STORE_DIR or .repro-store)"),
-            CommandOption("--format", "table|json", "stats output rendering"),
-            CommandOption("--max-entries", "N", "evict: keep at most N newest entries"),
-            CommandOption("--max-age-days", "D", "evict: drop entries older than D days"),
+            CommandOption("--dir", "PATH", "store directory (default: $REPRO_STORE_DIR or .repro-store)", Path),
+            CommandOption("--format", "table|json", "stats output rendering", _choice("cache format", LIST_FORMATS), action="stats"),
+            CommandOption("--max-entries", "N", "evict: keep at most N newest entries", _int, action="evict"),
+            CommandOption("--max-age-days", "D", "evict: drop entries older than D days", _number, action="evict"),
         ),
     ),
 )
+
+_SPECS = {spec.name: spec for spec in COMMANDS}
 
 
 def _usage() -> str:
@@ -264,6 +349,74 @@ class CLIError(Exception):
     """A user-facing CLI error: printed as one line, exits with status 2."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with the CLI's error contract: one ``error:`` line, exit 2."""
+
+    def error(self, message: str) -> NoReturn:
+        raise CLIError(message.removeprefix("argument "))
+
+
+def build_parser(spec: CommandSpec) -> argparse.ArgumentParser:
+    """The argparse parser of one subcommand, generated from its spec.
+
+    Operands collect any number of values (the command checks the count),
+    so they may sit before, between or after options.  A spec carrying
+    :data:`_PARAM_FLAG` registers every registered experiment's parameter
+    flag, kept as text under its flag for :meth:`Param.parse` to read once
+    the selection is resolved.
+    """
+    parser = _Parser(
+        prog=f"repro {spec.name}", description=spec.summary, allow_abbrev=False
+    )
+    for name, help_text in spec.operands:
+        parser.add_argument(name, nargs="*", help=help_text)
+    for option in spec.options:
+        if option.flag == _PARAM_FLAG:
+            group = parser.add_argument_group(
+                "experiment parameters", f"{option.syntax}: {option.help}"
+            )
+            flags = {p.flag for exp in EXPERIMENTS.values() for p in exp.params}
+            for flag in sorted(flags):
+                group.add_argument(
+                    flag, dest=flag, default=argparse.SUPPRESS, help=argparse.SUPPRESS
+                )
+        elif option.switch:
+            parser.add_argument(
+                option.flag, dest=option.dest, action="store_true", help=option.help
+            )
+        else:
+            parser.add_argument(
+                option.flag,
+                dest=option.dest,
+                metavar=option.value,
+                nargs="*" if " " in option.value else None,
+                type=option.parse,
+                required=option.required,
+                help=option.help,
+            )
+    return parser
+
+
+def _parse(spec: CommandSpec, argv: list[str]) -> argparse.Namespace:
+    """Parse one subcommand's arguments, rejecting anything unrecognised.
+
+    For a command taking experiment parameters, ``args.params`` maps each
+    given parameter flag to its text; a flag no experiment declares maps
+    to None, so selection-aware resolution reports it.
+    """
+    args, extras = build_parser(spec).parse_known_intermixed_args(argv)
+    unknown = [token.split("=", 1)[0] for token in extras if token.startswith("-")]
+    if any(option.flag == _PARAM_FLAG for option in spec.options):
+        args.params = {k: v for k, v in vars(args).items() if k.startswith("--")}
+        args.params.update(dict.fromkeys(unknown))
+    elif unknown:
+        valid = ", ".join(option.flag for option in spec.options)
+        raise CLIError(f"unknown option '{unknown[0]}'; valid: {valid}")
+    if extras and not unknown:
+        raise CLIError(f"unexpected argument '{extras[0]}'")
+    return args
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     """Entry point of the ``repro`` console script and ``python -m``."""
     args = list(sys.argv[1:] if argv is None else argv)
@@ -272,35 +425,21 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(_usage())
             return 0
         command, rest = args[0], args[1:]
-        if command == "list":
-            return _cmd_list(rest)
-        if command == "run":
-            return _cmd_run(rest)
-        if command == "shard":
-            return _cmd_shard(rest)
-        if command == "assemble":
-            return _cmd_assemble(rest)
-        if command == "plan":
-            return _cmd_plan(rest)
-        if command == "trace":
-            return _cmd_trace(rest)
-        if command == "docs":
-            return _cmd_docs(rest)
-        if command == "lint":
-            return _cmd_lint(rest)
-        if command == "bench":
-            return _cmd_bench(rest)
-        if command == "cache":
-            return _cmd_cache(rest)
         # Historical invocation styles keep working: ``repro fig19``,
         # ``repro all`` behave like ``repro run ...``.
         if command == "all" or command.lower() in EXPERIMENTS:
-            return _cmd_run(args)
-        known = ", ".join(f"'{spec.name}'" for spec in COMMANDS)
-        raise CLIError(
-            f"unknown command '{command}' (expected one of {known}); "
-            f"run 'repro --help' for usage"
-        )
+            command, rest = "run", args
+        if command not in _SPECS:
+            known = ", ".join(f"'{spec.name}'" for spec in COMMANDS)
+            raise CLIError(
+                f"unknown command '{command}' (expected one of {known}); "
+                f"run 'repro --help' for usage"
+            )
+        try:
+            parsed = _parse(_SPECS[command], rest)
+        except SystemExit as exc:  # argparse exits 0 after printing --help
+            return int(exc.code or 0)
+        return _HANDLERS[command](parsed)
     except CLIError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -309,30 +448,12 @@ def main(argv: Sequence[str] | None = None) -> int:
 # -- repro list ---------------------------------------------------------------
 
 
-def _parse_options(args: list[str], flags: tuple[str, ...]) -> dict[str, str]:
-    """Parse a flat ``--flag value`` option list against ``flags``."""
-    options: dict[str, str] = {}
-    i = 0
-    while i < len(args):
-        token = args[i]
-        if not token.startswith("--"):
-            raise CLIError(f"unexpected argument '{token}'")
-        flag, value, consumed = _flag_value(args, i)
-        if flag not in flags:
-            raise CLIError(f"unknown option '{flag}'; valid: {', '.join(flags)}")
-        options[flag] = value
-        i += consumed
-    return options
-
-
-def _cmd_list(args: list[str]) -> int:
-    options = _parse_options(args, flags=("--tags", "--format"))
-    fmt = options.get("--format", "table")
-    if fmt not in LIST_FORMATS:
-        raise CLIError(f"invalid list format '{fmt}'; valid: {', '.join(LIST_FORMATS)}")
+def _cmd_list(args: argparse.Namespace) -> int:
     experiments = list(EXPERIMENTS.values())
-    if "--tags" in options:
-        wanted = {t for t in options["--tags"].split(",") if t}
+    if args.tags is not None:
+        wanted = {t for t in args.tags.split(",") if t}
+        if not wanted:
+            raise CLIError("--tags needs at least one tag")
         unknown = wanted - set(all_tags())
         if unknown:
             raise CLIError(
@@ -340,7 +461,7 @@ def _cmd_list(args: list[str]) -> int:
                 f"valid: {', '.join(all_tags())}"
             )
         experiments = [e for e in experiments if wanted & set(e.tags)]
-    if fmt == "json":
+    if args.format == "json":
         import json
 
         print(json.dumps([_describe(e) for e in experiments], indent=2))
@@ -373,20 +494,17 @@ def _describe(exp: Experiment) -> dict[str, Any]:
 # -- repro docs ---------------------------------------------------------------
 
 
-def _cmd_docs(args: list[str]) -> int:
+def _cmd_docs(args: argparse.Namespace) -> int:
     """Regenerate (or, with ``--check``, verify) the experiment catalog."""
     from repro.experiments.catalog import catalog_markdown, default_catalog_path
 
-    check = "--check" in args
-    args = [a for a in args if a != "--check"]
-    options = _parse_options(args, flags=("--out",))
-    path = Path(options["--out"]) if "--out" in options else default_catalog_path()
+    path = args.out or default_catalog_path()
     generated = catalog_markdown()
-    if check:
+    if args.check:
         current = path.read_text() if path.exists() else None
         if current != generated:
             command = (
-                "repro docs" if "--out" not in options else f"repro docs --out {path}"
+                "repro docs" if args.out is None else f"repro docs --out {path}"
             )
             print(
                 f"error: {path} is stale; regenerate it with '{command}'",
@@ -404,7 +522,7 @@ def _cmd_docs(args: list[str]) -> int:
 # -- repro lint ---------------------------------------------------------------
 
 
-def _cmd_lint(args: list[str]) -> int:
+def _cmd_lint(args: argparse.Namespace) -> int:
     """Run the determinism / cache-safety static-analysis pass.
 
     Exits 0 on a clean pass, 1 when non-baselined findings remain, 2 on
@@ -420,33 +538,20 @@ def _cmd_lint(args: list[str]) -> int:
         update_baseline,
     )
 
-    update = "--update-baseline" in args
-    args = [a for a in args if a != "--update-baseline"]
-    options = _parse_options(
-        args, flags=("--format", "--rules", "--root", "--baseline")
-    )
-    fmt = options.get("--format", "table")
-    if fmt not in LIST_FORMATS:
-        raise CLIError(
-            f"invalid lint format '{fmt}'; valid: {', '.join(LIST_FORMATS)}"
-        )
+    update = args.update_baseline
     rule_ids = None
-    if "--rules" in options:
-        rule_ids = [r for r in options["--rules"].split(",") if r]
+    if args.rules is not None:
+        rule_ids = [r for r in args.rules.split(",") if r]
         if not rule_ids:
             raise CLIError("--rules needs at least one rule id")
         if update:
             # A partial run would rewrite the baseline without the other
             # rules' findings, silently un-grandfathering them.
             raise CLIError("--update-baseline requires the full rule set; drop --rules")
-    root = Path(options["--root"]) if "--root" in options else default_lint_root()
+    root = args.root or default_lint_root()
     if not root.is_dir():
         raise CLIError(f"no such lint root: {root}")
-    baseline_path = (
-        Path(options["--baseline"])
-        if "--baseline" in options
-        else default_baseline_path()
-    )
+    baseline_path = args.baseline or default_baseline_path()
     try:
         baseline = load_baseline(baseline_path)
         report = run_lint(root, rule_ids=rule_ids, baseline=baseline)
@@ -460,7 +565,7 @@ def _cmd_lint(args: list[str]) -> int:
         )
         report = run_lint(root, rule_ids=rule_ids, baseline=load_baseline(baseline_path))
         print(f"wrote {baseline_path} ({len(report.baselined)} entries matched)")
-    print(render_json(report) if fmt == "json" else render_table(report))
+    print(render_json(report) if args.format == "json" else render_table(report))
     return 0 if report.clean else 1
 
 
@@ -481,29 +586,12 @@ def _read_json_file(path: Path, what: str) -> Any:
         raise CLIError(f"{path} is not valid JSON: {exc}") from None
 
 
-def _extract_compare(args: list[str]) -> tuple[list[str], tuple[str, str] | None]:
-    """Split the two-path ``--compare A B`` option out of a bench arg list."""
-    if "--compare" not in args:
-        return args, None
-    at = args.index("--compare")
-    values = args[at + 1 : at + 3]
-    if len(values) < 2 or any(v.startswith("--") for v in values):
-        raise CLIError("--compare needs two BENCH file paths")
-    return args[:at] + args[at + 3 :], (values[0], values[1])
-
-
-def _cmd_bench(args: list[str]) -> int:
+def _cmd_bench(args: argparse.Namespace) -> int:
     """Measure, schema-check (``--validate``), diff (``--compare``) or
     scoreboard (``--trend``) BENCH documents."""
     from repro.perf.bench import run_bench, validate_bench, write_bench
 
-    quick = "--quick" in args
-    args = [a for a in args if a != "--quick"]
-    trend = "--trend" in args
-    args = [a for a in args if a != "--trend"]
-    args, compare_paths = _extract_compare(args)
-    options = _parse_options(args, flags=("--out", "--validate", "--dir"))
-    if trend:
+    if args.trend:
         from repro.perf.bench import (
             default_bench_dir,
             load_bench_documents,
@@ -511,19 +599,19 @@ def _cmd_bench(args: list[str]) -> int:
             trend_report,
         )
 
-        directory = (
-            Path(options["--dir"]) if "--dir" in options else default_bench_dir()
-        )
+        directory = args.dir or default_bench_dir()
         if not directory.is_dir():
             raise CLIError(f"no such trend directory: {directory}")
         documents = [doc for _, doc in load_bench_documents(directory)]
         print(render_trend(trend_report(documents)))
         return 0 if documents else 1
-    if compare_paths is not None:
+    if args.compare is not None:
         from repro.perf.bench import compare_bench, render_compare
 
+        if len(args.compare) != 2:
+            raise CLIError("--compare needs two BENCH file paths")
         baseline, current = (
-            _read_json_file(Path(p), "BENCH file") for p in compare_paths
+            _read_json_file(path, "BENCH file") for path in args.compare
         )
         try:
             comparison = compare_bench(baseline, current)
@@ -531,8 +619,8 @@ def _cmd_bench(args: list[str]) -> int:
             raise CLIError(str(exc)) from None
         print(render_compare(comparison))
         return 0
-    if "--validate" in options:
-        path = Path(options["--validate"])
+    if args.validate is not None:
+        path = args.validate
         document = _read_json_file(path, "BENCH file")
         problems = validate_bench(document)
         if problems:
@@ -541,13 +629,11 @@ def _cmd_bench(args: list[str]) -> int:
             return 1
         print(f"{path} conforms to bench schema v{document['schema_version']}")
         return 0
-    document = run_bench(quick=quick)
+    document = run_bench(quick=args.quick)
     problems = validate_bench(document)
     if problems:  # pragma: no cover - emitter/schema drift is a bug
         raise CLIError(f"emitted document fails its own schema: {problems[0]}")
-    path = write_bench(
-        document, Path(options["--out"]) if "--out" in options else None
-    )
+    path = write_bench(document, args.out)
     sweep = document["sweep"]
     print(f"wrote {path}")
     print(
@@ -566,38 +652,27 @@ def _cmd_bench(args: list[str]) -> int:
 # -- repro cache --------------------------------------------------------------
 
 
-def _cmd_cache(args: list[str]) -> int:
+def _cmd_cache(args: argparse.Namespace) -> int:
     """Inspect or prune the persistent result store."""
     from repro.perf.store import ResultStore
 
-    # Each action accepts exactly its own flags, so e.g. a `clear` carrying
+    actions = ("stats", "clear", "evict")
+    if not args.action:
+        raise CLIError(f"cache needs an action: {' | '.join(actions)}")
+    action, *extra = args.action
+    if action not in actions:
+        raise CLIError(f"unknown cache action '{action}'; valid: {', '.join(actions)}")
+    if extra:
+        raise CLIError(f"unexpected argument '{extra[0]}'")
+    # Each action accepts only its own options, so e.g. a `clear` carrying
     # an ignored eviction bound is rejected instead of wiping the store.
-    action_flags = {
-        "stats": ("--dir", "--format"),
-        "clear": ("--dir",),
-        "evict": ("--dir", "--max-entries", "--max-age-days"),
-    }
-    if not args or args[0].startswith("--"):
-        raise CLIError(f"cache needs an action: {' | '.join(action_flags)}")
-    action, rest = args[0], args[1:]
-    if action not in action_flags:
-        raise CLIError(
-            f"unknown cache action '{action}'; valid: {', '.join(action_flags)}"
-        )
-    options = _parse_options(rest, flags=action_flags[action])
-    store = (
-        ResultStore(Path(options["--dir"]))
-        if "--dir" in options
-        else ResultStore.default()
-    )
-    fmt = options.get("--format", "table")
-    if fmt not in LIST_FORMATS:
-        raise CLIError(
-            f"invalid cache format '{fmt}'; valid: {', '.join(LIST_FORMATS)}"
-        )
+    for option in _SPECS["cache"].options:
+        if option.action not in (None, action) and getattr(args, option.dest) is not None:
+            raise CLIError(f"unknown option '{option.flag}' for 'cache {action}'")
+    store = ResultStore(args.dir) if args.dir is not None else ResultStore.default()
     if action == "stats":
         stats = store.stats()
-        if fmt == "json":
+        if args.format == "json":
             import json
 
             print(json.dumps(stats.to_dict(), indent=2))
@@ -612,27 +687,14 @@ def _cmd_cache(args: list[str]) -> int:
         removed = store.clear()
         print(f"removed {removed} entries from {store.root}")
         return 0
-    max_entries = None
-    if "--max-entries" in options:
-        try:
-            max_entries = int(options["--max-entries"])
-        except ValueError:
-            raise CLIError(
-                f"--max-entries: invalid int '{options['--max-entries']}'"
-            ) from None
-        if max_entries < 0:
-            raise CLIError("--max-entries must be >= 0")
+    if args.max_entries is not None and args.max_entries < 0:
+        raise CLIError("--max-entries must be >= 0")
     max_age_s = None
-    if "--max-age-days" in options:
-        try:
-            max_age_s = float(options["--max-age-days"]) * 86400.0
-        except ValueError:
-            raise CLIError(
-                f"--max-age-days: invalid number '{options['--max-age-days']}'"
-            ) from None
-        if max_age_s < 0:
+    if args.max_age_days is not None:
+        if not args.max_age_days >= 0:  # NaN too: it would evict nothing
             raise CLIError("--max-age-days must be >= 0")
-    removed = store.evict(max_entries=max_entries, max_age_s=max_age_s)
+        max_age_s = args.max_age_days * 86400.0
+    removed = store.evict(max_entries=args.max_entries, max_age_s=max_age_s)
     print(f"evicted {removed} entries from {store.root}")
     return 0
 
@@ -640,7 +702,7 @@ def _cmd_cache(args: list[str]) -> int:
 # -- repro run ----------------------------------------------------------------
 
 
-def _attach_store(store_dir: str | None = None):
+def _attach_store(store_dir: Path | None = None):
     """Attach the persistent store (default, or rooted at ``store_dir``).
 
     The store rides on the shared process-wide engine, so serving
@@ -651,7 +713,7 @@ def _attach_store(store_dir: str | None = None):
     from repro.perf.store import ResultStore
     from repro.sim.sweep import get_default_engine
 
-    store = ResultStore(Path(store_dir)) if store_dir else ResultStore.default()
+    store = ResultStore(store_dir) if store_dir else ResultStore.default()
     get_default_engine().attach_store(store)
     return store
 
@@ -666,28 +728,18 @@ def _configure_store(no_store: bool) -> None:
         _attach_store(None)
 
 
-def _cmd_run(args: list[str]) -> int:
-    no_store = "--no-store" in args
-    args = [a for a in args if a != "--no-store"]
-    selectors, options, param_tokens = _split_args(
-        args, ("--format", "--out", "--jobs"), collect_params=True
-    )
-    if not selectors:
+def _cmd_run(args: argparse.Namespace) -> int:
+    if not args.selectors:
         raise CLIError("no experiments selected; pass ids, tag:TAG or 'all'")
+    _configure_store(args.no_store)
 
-    fmt = options.get("--format", "table")
-    if fmt not in RUN_FORMATS:
-        raise CLIError(f"invalid format '{fmt}'; valid: {', '.join(RUN_FORMATS)}")
-    jobs = _parse_jobs(options.get("--jobs", "1"))
-    out_dir = Path(options["--out"]) if "--out" in options else None
-    _configure_store(no_store)
+    experiments = _select(args.selectors)
+    overrides = _resolve_param_flags(args.params, experiments)
+    results = run_many(experiments, overrides, jobs=args.jobs or 1)
 
-    experiments = _select(selectors)
-    overrides = _resolve_param_flags(param_tokens, experiments)
-    results = run_many(experiments, overrides, jobs=jobs)
-
-    if out_dir is not None:
-        _write_artifacts(results, fmt, out_dir)
+    fmt = args.format or "table"
+    if args.out is not None:
+        _write_artifacts(results, fmt, args.out)
     else:
         _print_results(results, fmt, sys.stdout)
     return 0
@@ -696,99 +748,72 @@ def _cmd_run(args: list[str]) -> int:
 # -- repro shard / repro assemble ---------------------------------------------
 
 
-def _parse_int_option(options: dict[str, str], flag: str) -> int:
-    """The required integer value of ``flag``, as a one-line error otherwise."""
-    if flag not in options:
-        raise CLIError(f"missing required option {flag}")
-    try:
-        return int(options[flag])
-    except ValueError:
-        raise CLIError(f"{flag}: invalid int '{options[flag]}'") from None
-
-
-def _cmd_shard(args: list[str]) -> int:
+def _cmd_shard(args: argparse.Namespace) -> int:
     """Run one deterministic shard of an experiment selection into the store."""
     from repro.perf.distributed import Shard, shard_experiments
 
-    selectors, options, param_tokens = _split_args(
-        args,
-        ("--index", "--count", "--store", "--pack", "--jobs"),
-        collect_params=True,
-    )
-    if not selectors:
+    if not args.selectors:
         raise CLIError("no experiments selected; pass ids, tag:TAG or 'all'")
     try:
-        shard = Shard(
-            _parse_int_option(options, "--index"),
-            _parse_int_option(options, "--count"),
-        )
+        shard = Shard(args.index, args.count)
     except ValueError as exc:
         raise CLIError(str(exc)) from None
-    jobs = _parse_jobs(options.get("--jobs", "1"))
-    store = _attach_store(options.get("--store"))
+    store = _attach_store(args.store)
 
-    experiments = _select(selectors)
-    overrides = _resolve_param_flags(param_tokens, experiments)
+    experiments = _select(args.selectors)
+    overrides = _resolve_param_flags(args.params, experiments)
     mine = shard_experiments(experiments, shard, overrides)
     print(
         f"shard {shard.index}/{shard.count}: {len(mine)} of "
         f"{len(experiments)} selected experiments -> {store.root}"
     )
-    results = run_many(mine, overrides, jobs=jobs)
+    results = run_many(mine, overrides, jobs=args.jobs or 1)
     for result in results:
         print(f"  {result.experiment_id} ({result.provenance.wall_time_s:.1f}s)")
-    if "--pack" in options:
-        path = store.export_pack(Path(options["--pack"]))
+    if args.pack is not None:
+        path = store.export_pack(args.pack)
         print(f"wrote pack {path} ({store.stats().entries} store entries)")
     return 0
 
 
-def _cmd_assemble(args: list[str]) -> int:
+def _cmd_assemble(args: argparse.Namespace) -> int:
     """Merge shard packs into one store and replay the results store-warm."""
     from repro.perf.distributed import assemble_packs, normalize_result_json
     from repro.perf.store import PackConflictError
 
-    no_run = "--no-run" in args
-    args = [a for a in args if a != "--no-run"]
-    packs, options, param_tokens = _split_args(
-        args,
-        ("--store", "--run", "--format", "--out", "--check"),
-        collect_params=True,
-    )
+    packs = [Path(p) for p in args.packs]
     if not packs:
         raise CLIError(
             "no shard packs given; pass pack files written by 'repro shard --pack'"
         )
-    if no_run and param_tokens:
+    if args.no_run and args.params:
         raise CLIError(
             "--<param> flags apply to the replay; drop --no-run to use them"
         )
-    fmt = options.get("--format", "json")
-    if fmt not in RUN_FORMATS:
-        raise CLIError(f"invalid format '{fmt}'; valid: {', '.join(RUN_FORMATS)}")
+    fmt = args.format or "json"
 
-    store = _attach_store(options.get("--store"))
+    store = _attach_store(args.store)
     try:
-        stats = assemble_packs(store, [Path(p) for p in packs])
+        stats = assemble_packs(store, packs)
     except (PackConflictError, ValueError) as exc:
         raise CLIError(str(exc)) from None
     print(
         f"merged {len(packs)} pack(s) into {store.root}: {stats.added} added, "
         f"{stats.identical} identical, {stats.skipped} skipped"
     )
-    if no_run:
+    if args.no_run:
         return 0
 
-    selectors = [s for s in options.get("--run", "all").split(",") if s]
-    experiments = _select(selectors)
+    selectors = "all" if args.run is None else args.run
+    experiments = _select([s for s in selectors.split(",") if s])
     # The result-tier keys hash parameter values, so the replay must carry
     # the same overrides the shard runs were given.
-    overrides = _resolve_param_flags(param_tokens, experiments)
+    overrides = _resolve_param_flags(args.params, experiments)
     results = run_many(experiments, overrides)
-    if "--out" in options:
-        _write_artifacts(results, fmt, Path(options["--out"]))
-    if "--check" in options:
-        reference = Path(options["--check"])
+    if args.out is not None:
+        _write_artifacts(results, fmt, args.out)
+    if args.check is not None:
+        reference = args.check
         mismatches = []
         for result in results:
             path = reference / f"{result.experiment_id}.{_EXTENSIONS[fmt]}"
@@ -808,37 +833,12 @@ def _cmd_assemble(args: list[str]) -> int:
             f"assembled output matches {reference} for "
             f"{len(results)} experiment(s)"
         )
-    if "--out" not in options and "--check" not in options:
+    if args.out is None and args.check is None:
         _print_results(results, fmt, sys.stdout)
     return 0
 
 
 # -- repro plan ---------------------------------------------------------------
-
-
-def _parse_shard_option(text: str):
-    """Parse an ``I/N`` shard designator into a ``Shard`` (one-line errors)."""
-    from repro.perf.distributed import Shard
-
-    parts = text.split("/")
-    if len(parts) != 2:
-        raise CLIError(f"--shard: invalid shard '{text}' (expected I/N)")
-    try:
-        index, count = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise CLIError(f"--shard: invalid shard '{text}' (expected I/N)") from None
-    try:
-        return Shard(index, count)
-    except ValueError as exc:
-        raise CLIError(f"--shard: {exc}") from None
-
-
-def _parse_float_option(options: dict[str, str], flag: str) -> float:
-    """The float value of ``flag`` (present in ``options``), or a CLI error."""
-    try:
-        return float(options[flag])
-    except ValueError:
-        raise CLIError(f"{flag}: invalid number '{options[flag]}'") from None
 
 
 def _plan_point_dict(evaluated) -> dict[str, Any]:
@@ -920,8 +920,9 @@ def _render_plan(document: dict[str, Any], fmt: str) -> str:
     return summary + "\n" + _plan_table(document)
 
 
-def _cmd_plan(args: list[str]) -> int:
+def _cmd_plan(args: argparse.Namespace) -> int:
     """Search a fleet plan space: evaluate, reduce to the Pareto frontier."""
+    import math
     import time
 
     from repro.experiments.api import _repo_version
@@ -935,57 +936,33 @@ def _cmd_plan(args: list[str]) -> int:
         space_digest,
     )
 
-    no_store = "--no-store" in args
-    args = [a for a in args if a != "--no-store"]
-    positionals, options, _ = _split_args(
-        args,
-        (
-            "--shard",
-            "--pack",
-            "--format",
-            "--out",
-            "--check",
-            "--store",
-            "--jobs",
-            "--sla-ms",
-            "--min-attainment",
-        ),
-    )
-    if len(positionals) != 1:
+    if len(args.spec) != 1:
         raise CLIError(
             "pass exactly one plan spec (a built-in name or a JSON spec file)"
         )
-    fmt = options.get("--format", "table")
-    if fmt not in RUN_FORMATS:
-        raise CLIError(f"invalid format '{fmt}'; valid: {', '.join(RUN_FORMATS)}")
-    shard = _parse_shard_option(options["--shard"]) if "--shard" in options else None
-    jobs = _parse_jobs(options.get("--jobs", "1"))
-    sla_ms = _parse_float_option(options, "--sla-ms") if "--sla-ms" in options else None
-    min_attainment = (
-        _parse_float_option(options, "--min-attainment")
-        if "--min-attainment" in options
-        else None
-    )
+    shard, sla_ms, min_attainment = args.shard, args.sla_ms, args.min_attainment
+    if sla_ms is not None and not 0.0 < sla_ms < math.inf:
+        raise CLIError(f"--sla-ms must be a finite number > 0, got {sla_ms:g}")
     if min_attainment is not None and not 0.0 <= min_attainment <= 1.0:
         raise CLIError(f"--min-attainment must be in [0, 1], got {min_attainment}")
-    if no_store and "--store" in options:
+    if args.no_store and args.store is not None:
         raise CLIError("--no-store and --store are mutually exclusive")
-    if no_store and "--pack" in options:
+    if args.no_store and args.pack is not None:
         raise CLIError("--pack exports the store; drop --no-store to use it")
 
     try:
-        space = load_space(positionals[0])
+        space = load_space(args.spec[0])
     except ValueError as exc:
         raise CLIError(str(exc)) from exc
 
-    if no_store:
+    if args.no_store:
         _configure_store(True)
         store = None
     else:
-        store = _attach_store(options.get("--store"))
+        store = _attach_store(args.store)
 
     start = time.perf_counter()  # repro: lint-ignore[DET002]
-    evaluation = evaluate_space(space, store=store, shard=shard, jobs=jobs)
+    evaluation = evaluate_space(space, store=store, shard=shard, jobs=args.jobs or 1)
     wall_time_s = time.perf_counter() - start  # repro: lint-ignore[DET002]
     frontier = pareto_frontier(evaluation.points)
 
@@ -1034,20 +1011,20 @@ def _cmd_plan(args: list[str]) -> int:
         f"{evaluation.enumerated} points evaluated "
         f"({evaluation.fresh} fresh, {evaluation.cached} cached)"
     )
-    text = _render_plan(document, fmt)
+    text = _render_plan(document, args.format or "table")
     text = text if text.endswith("\n") else text + "\n"
-    if "--out" in options:
-        path = Path(options["--out"])
+    if args.out is not None:
+        path = args.out
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text)
         print(f"wrote {path}")
     else:
         sys.stdout.write(text)
-    if "--pack" in options and store is not None:
-        path = store.export_pack(Path(options["--pack"]))
+    if args.pack is not None and store is not None:
+        path = store.export_pack(args.pack)
         print(f"wrote pack {path} ({store.stats().entries} store entries)")
-    if "--check" in options:
-        reference = Path(options["--check"])
+    if args.check is not None:
+        reference = args.check
         if not reference.exists():
             print(f"error: {reference}: missing reference file", file=sys.stderr)
             return 1
@@ -1058,25 +1035,22 @@ def _cmd_plan(args: list[str]) -> int:
     return 0
 
 
-def _cmd_trace(args: list[str]) -> int:
+def _cmd_trace(args: argparse.Namespace) -> int:
     """Validate a serving-log trace; summarize or re-emit it."""
     from repro.serve.traffic import TraceFormatError, load_trace, trace_to_jsonl
 
-    summarize = "--summarize" in args
-    to_json = "--to-json" in args
-    args = [a for a in args if a not in ("--summarize", "--to-json")]
-    positionals, _, _ = _split_args(args, ())
-    if len(positionals) != 1:
+    if len(args.path) != 1:
         raise CLIError("pass exactly one trace file (.csv or .jsonl)")
-    if summarize and to_json:
+    if args.summarize and args.to_json:
         raise CLIError("--summarize and --to-json are mutually exclusive")
+    (path,) = args.path
     try:
-        trace = load_trace(positionals[0])
+        trace = load_trace(path)
     except TraceFormatError as exc:
         raise CLIError(str(exc)) from None
     except OSError as exc:
-        raise CLIError(f"{positionals[0]}: {exc.strerror or exc}") from None
-    if to_json:
+        raise CLIError(f"{path}: {exc.strerror or exc}") from None
+    if args.to_json:
         sys.stdout.write(trace_to_jsonl(trace.requests))
         return 0
     summary = trace.summary()
@@ -1091,7 +1065,7 @@ def _cmd_trace(args: list[str]) -> int:
         f"  tenants: {len(summary['tenants'])}"
         f"  sessions: {summary['sessions']}"
     )
-    if summarize:
+    if args.summarize:
         print(f"\n  {'scenario':<40} {'count':>7} {'share':>7}")
         for row in summary["scenarios"]:
             print(f"  {row['label']:<40} {row['count']:>7} {row['share']:>6.1%}")
@@ -1102,58 +1076,18 @@ def _cmd_trace(args: list[str]) -> int:
     return 0
 
 
-def _flag_value(args: list[str], i: int) -> tuple[str, str, int]:
-    token = args[i]
-    if "=" in token:
-        flag, value = token.split("=", 1)
-        return flag, value, 1
-    if i + 1 >= len(args) or args[i + 1].startswith("--"):
-        raise CLIError(f"missing value for {token}")
-    return token, args[i + 1], 2
-
-
-def _split_args(
-    args: list[str],
-    known_flags: tuple[str, ...],
-    collect_params: bool = False,
-) -> tuple[list[str], dict[str, str], list[tuple[str, str]]]:
-    """Split raw args into positionals, known options and param flags.
-
-    Flags outside ``known_flags`` are collected as per-experiment parameter
-    tokens when ``collect_params`` is set and rejected with a one-line
-    error otherwise.
-    """
-    positionals: list[str] = []
-    options: dict[str, str] = {}
-    param_tokens: list[tuple[str, str]] = []
-    i = 0
-    while i < len(args):
-        token = args[i]
-        if token.startswith("--"):
-            flag, value, consumed = _flag_value(args, i)
-            if flag in known_flags:
-                options[flag] = value
-            elif collect_params:
-                param_tokens.append((flag, value))
-            else:
-                raise CLIError(
-                    f"unknown option '{flag}'; valid: {', '.join(known_flags)}"
-                )
-            i += consumed
-        else:
-            positionals.append(token)
-            i += 1
-    return positionals, options, param_tokens
-
-
-def _parse_jobs(text: str) -> int:
-    try:
-        jobs = int(text)
-    except ValueError:
-        raise CLIError(f"--jobs: invalid int '{text}'") from None
-    if jobs < 1:
-        raise CLIError("--jobs must be >= 1")
-    return jobs
+_HANDLERS = {
+    "list": _cmd_list,
+    "run": _cmd_run,
+    "shard": _cmd_shard,
+    "assemble": _cmd_assemble,
+    "plan": _cmd_plan,
+    "trace": _cmd_trace,
+    "docs": _cmd_docs,
+    "lint": _cmd_lint,
+    "bench": _cmd_bench,
+    "cache": _cmd_cache,
+}
 
 
 def _select(selectors: list[str]) -> list[Experiment]:
@@ -1180,15 +1114,15 @@ def _select(selectors: list[str]) -> list[Experiment]:
 
 
 def _resolve_param_flags(
-    param_tokens: list[tuple[str, str]], experiments: list[Experiment]
+    params: dict[str, str | None], experiments: list[Experiment]
 ) -> dict[str, dict[str, Any]]:
-    """Map ``--flag value`` pairs onto each selected experiment's params."""
+    """Map ``--flag value`` texts onto each selected experiment's params."""
     by_flag: dict[str, list[tuple[Experiment, Any]]] = {}
     for exp in experiments:
         for param in exp.params:
             by_flag.setdefault(param.flag, []).append((exp, param))
     overrides: dict[str, dict[str, Any]] = {exp.id: {} for exp in experiments}
-    for flag, text in param_tokens:
+    for flag, text in params.items():
         if flag not in by_flag:
             valid = ", ".join(sorted(by_flag)) or "(none for this selection)"
             raise CLIError(f"unknown parameter '{flag}'; valid: {valid}")

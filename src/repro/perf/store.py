@@ -876,12 +876,14 @@ class ResultStore:
         ``max_entries`` keeps at most that many newest current-schema
         entries; ``max_age_s`` drops entries older than the horizon.  Either
         bound may be None; negative bounds are rejected (a negative slice
-        would silently doom the whole store).  Stale-schema generations are
-        always evicted.  Returns the number of files removed.
+        would silently doom the whole store), and so is a NaN age, which no
+        entry could ever exceed; an infinite age bounds nothing.
+        Stale-schema generations are always evicted.  Returns the number of
+        files removed.
         """
         if max_entries is not None and max_entries < 0:
             raise ValueError(f"max_entries must be >= 0, got {max_entries}")
-        if max_age_s is not None and max_age_s < 0:
+        if max_age_s is not None and not max_age_s >= 0:
             raise ValueError(f"max_age_s must be >= 0, got {max_age_s}")
         removed = 0
         for path in self._entry_files(schema_only=False):

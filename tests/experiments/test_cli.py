@@ -1,10 +1,13 @@
 """Tests for the ``repro`` CLI: selection, formats, artifacts, exit codes."""
 
+import argparse
 import json
 
 import pytest
 
 from repro.experiments import EXPERIMENTS
+from repro.experiments.api import Experiment, Param
+from repro.experiments.cli import COMMANDS, build_parser
 from repro.experiments.cli import main
 
 
@@ -54,6 +57,11 @@ class TestList:
         code, out, _ = run_cli(capsys, "--help")
         assert code == 0
         assert "usage" in out
+
+    def test_empty_tag_list_exits_2(self, capsys):
+        code, _, err = run_cli(capsys, "list", "--tags", ",")
+        assert code == 2
+        assert err == "error: --tags needs at least one tag\n"
 
 
 class TestRunErrors:
@@ -279,6 +287,13 @@ class TestCache:
         assert code == 2
         assert ">= 0" in err
 
+    def test_evict_nan_age_exits_2(self, capsys, tmp_path):
+        code, _, err = run_cli(
+            capsys, "cache", "evict", "--dir", str(tmp_path), "--max-age-days", "nan"
+        )
+        assert code == 2
+        assert err == "error: --max-age-days must be >= 0\n"
+
     def test_stats_bad_format_exits_2(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "cache", "stats", "--dir", str(tmp_path), "--format", "josn"
@@ -361,3 +376,62 @@ class TestDocs:
         code, out, _ = run_cli(capsys, "docs", "--check")
         assert code == 0 and "up to date" in out
         assert not (tmp_path / "docs").exists()
+
+
+class TestParsers:
+    """The subcommand parsers generated from ``COMMANDS``."""
+
+    @pytest.mark.parametrize("spec", COMMANDS, ids=lambda spec: spec.name)
+    def test_help_lists_every_option(self, capsys, spec):
+        code, out, err = run_cli(capsys, spec.name, "--help")
+        assert code == 0 and err == ""
+        assert out.startswith(f"usage: repro {spec.name}")
+        for name, _ in spec.operands:
+            assert name in out
+        for option in spec.options:
+            assert option.flag in out
+
+    def test_short_help(self, capsys):
+        code, out, _ = run_cli(capsys, "plan", "-h")
+        assert code == 0
+        assert "--sla-ms" in out
+
+    def test_equals_form_for_options_and_params(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "run", "fig06", "--format=json", "--rows=32", "--cols=32"
+        )
+        assert code == 0
+        (payload,) = json.loads(out)
+        assert payload["provenance"]["params"] == {"rows": 32, "cols": 32}
+
+    def test_selectors_may_follow_options(self, capsys):
+        code, out, _ = run_cli(capsys, "run", "--format", "json", "fig06")
+        assert code == 0
+        assert [entry["experiment_id"] for entry in json.loads(out)] == ["fig06"]
+
+    def test_abbreviated_flag_exits_2(self, capsys):
+        code, _, err = run_cli(capsys, "run", "fig06", "--form", "json")
+        assert code == 2
+        assert err.count("\n") == 1
+        assert "unknown parameter '--form'" in err
+
+    def test_unknown_option_lists_valid_ones(self, capsys):
+        code, _, err = run_cli(capsys, "docs", "--bogus")
+        assert code == 2
+        assert err == "error: unknown option '--bogus'; valid: --out, --check\n"
+
+    def test_every_parser_builds_without_option_conflicts(self):
+        # A parameter flag reusing a command option (say ``--out``) would
+        # make argparse raise here instead of being silently shadowed.
+        for spec in COMMANDS:
+            build_parser(spec)
+
+    def test_param_shadowing_a_command_option_is_a_conflict(self, monkeypatch):
+        shadowing = Experiment(
+            id="shadow", title="Shadow", fn=lambda out="": None,
+            params=(Param("out"),),
+        )
+        monkeypatch.setitem(EXPERIMENTS, "shadow", shadowing)
+        run_spec = next(spec for spec in COMMANDS if spec.name == "run")
+        with pytest.raises(argparse.ArgumentError, match="conflicting"):
+            build_parser(run_spec)

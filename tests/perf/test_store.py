@@ -222,6 +222,16 @@ class TestStoreBasics:
             store.evict(max_age_s=-5.0)
         assert store.stats().entries == 1  # nothing was doomed
 
+    def test_evict_rejects_nan_age_and_accepts_infinite_age(self, tmp_path):
+        # NaN passes a `< 0` check yet compares false against every age, so
+        # it would silently evict nothing; inf means "no age bound".
+        store = ResultStore(tmp_path)
+        store.put(make_key(), render_small())
+        with pytest.raises(ValueError, match=">= 0"):
+            store.evict(max_age_s=float("nan"))
+        assert store.evict(max_age_s=float("inf")) == 0
+        assert store.stats().entries == 1
+
     def test_evict_drops_stale_schemas(self, tmp_path):
         store = ResultStore(tmp_path)
         store.put(make_key(), render_small())

@@ -100,6 +100,19 @@ class TestErrorPaths:
         code, _, err = run_cli(capsys, "plan", "tiny", "--frobnicate", "1")
         self.assert_one_liner(code, err, "unknown option '--frobnicate'")
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-5", "0"])
+    def test_bad_sla_rejected_before_loading_the_space(
+        self, capsys, monkeypatch, bad
+    ):
+        import repro.plan
+
+        def bomb(name):  # pragma: no cover - must not run
+            raise AssertionError("plan space loaded for an invalid --sla-ms")
+
+        monkeypatch.setattr(repro.plan, "load_space", bomb)
+        code, _, err = run_cli(capsys, "plan", "tiny", "--no-store", "--sla-ms", bad)
+        self.assert_one_liner(code, err, "--sla-ms must be a finite number > 0")
+
 
 class TestOutputs:
     def test_table_output_lists_frontier(self, capsys):

@@ -11,6 +11,10 @@ loop's report exactly (frozen-dataclass equality, which compares IEEE-754
 doubles bit for bit).
 """
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.serve.control import (
@@ -176,3 +180,71 @@ class TestFastPathEquivalence:
         monkeypatch.setattr(simulator, "_run_fifo", bomb)
         report = simulator.run(stream.generate(seed=0))
         assert report.scheduler == "fifo"
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    """perfbench/tracing.py, loaded by path (it imports only the stdlib)."""
+    path = Path(__file__).resolve().parents[2] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses resolve their module
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        del sys.modules[spec.name]
+
+
+class _TweakedFIFO(FIFOScheduler):
+    pass
+
+
+class TestBenchmarkPathClassification:
+    """The benchmark's tracer restates ``run()``'s path rule to attribute
+    ``serve.fast_path_s`` / ``serve.event_loop_s``; pin it to the path
+    ``run()`` actually takes, so the two rules cannot drift apart."""
+
+    @pytest.mark.parametrize(
+        "scheduler, control, fleet",
+        [
+            (None, None, ("flexnerfer",)),
+            (None, ControlConfig(admission=ADMISSION), ("flexnerfer",)),
+            (None, ControlConfig(shedder=SHEDDER), ("flexnerfer",)),
+            (None, ControlConfig(admission=ADMISSION, shedder=SHEDDER), ("flexnerfer",)),
+            (
+                None,
+                ControlConfig(autoscaler=QueueDepthAutoscaler(min_workers=1)),
+                ("flexnerfer", "flexnerfer"),
+            ),
+            (_TweakedFIFO(), None, ("flexnerfer",)),
+            (BatchDeadlineScheduler(max_batch=4), None, ("flexnerfer",)),
+        ],
+        ids=[
+            "fifo", "admission", "shedding", "admission+shedding",
+            "autoscaler", "fifo-subclass", "batch-deadline",
+        ],
+    )
+    def test_fleet_path_names_the_method_run_called(
+        self, monkeypatch, tracing, scheduler, control, fleet
+    ):
+        kwargs = {} if scheduler is None else {"scheduler": scheduler}
+        simulator = FleetSimulator(
+            fleet, engine=SweepEngine(), control=control, **kwargs
+        )
+        called = []
+        for name, path in (
+            ("_run_fifo", "serve.fast_path"),
+            ("_run_event_loop", "serve.event_loop"),
+        ):
+            method = getattr(simulator, name)
+
+            def spy(requests, method=method, path=path):
+                called.append(path)
+                return method(requests)
+
+            monkeypatch.setattr(simulator, name, spy)
+        stream = PoissonStream(rate_rps=40.0, duration_s=1.0, mix=MIX, sla_s=0.2)
+        requests = stream.generate(seed=0)
+        simulator.run(requests)
+        assert called == [tracing._fleet_path((simulator, requests))]
