@@ -164,8 +164,8 @@ class CommandOption:
     ``value`` is the metavar: an empty one makes a bare switch, and one of
     several words (``A.json B.json``) collects a list whose length the
     command checks.  ``parse`` converts (and validates) each value;
-    ``action`` restricts the option to one value of the command's action
-    operand (``repro cache``).
+    ``action`` exists only for ``repro cache``: it restricts the option to
+    one value of that command's action operand.
     """
 
     flag: str
@@ -375,8 +375,7 @@ def build_parser(spec: CommandSpec) -> argparse.ArgumentParser:
             group = parser.add_argument_group(
                 "experiment parameters", f"{option.syntax}: {option.help}"
             )
-            flags = {p.flag for exp in EXPERIMENTS.values() for p in exp.params}
-            for flag in sorted(flags):
+            for flag in _param_flags():
                 group.add_argument(
                     flag, dest=flag, default=argparse.SUPPRESS, help=argparse.SUPPRESS
                 )
@@ -397,22 +396,57 @@ def build_parser(spec: CommandSpec) -> argparse.ArgumentParser:
     return parser
 
 
+def _param_flags() -> list[str]:
+    """Every registered experiment's parameter flag, sorted."""
+    return sorted({p.flag for exp in EXPERIMENTS.values() for p in exp.params})
+
+
+def _take_unknown_flags(
+    argv: list[str], known: set[str]
+) -> tuple[list[str], dict[str, str | None]]:
+    """Take every unknown ``--flag [value]`` out of ``argv``.
+
+    argparse cannot know whether an unknown flag takes a value, and Python
+    versions differ on whether the token after it becomes an operand, so
+    the next token (unless it is a flag) is taken here as the flag's value:
+    ``--bogus 1 fig06`` and ``fig06 --bogus 1`` then fail alike everywhere.
+    """
+    rest: list[str] = []
+    unknown: dict[str, str | None] = {}
+    i = 0
+    while i < len(argv):
+        flag, eq, value = argv[i].partition("=")
+        i += 1
+        if not flag.startswith("--") or flag in known:
+            rest.append(argv[i - 1])
+        elif eq or i == len(argv) or argv[i].startswith("--"):
+            unknown[flag] = value if eq else None
+        else:
+            unknown[flag] = argv[i]
+            i += 1
+    return rest, unknown
+
+
 def _parse(spec: CommandSpec, argv: list[str]) -> argparse.Namespace:
     """Parse one subcommand's arguments, rejecting anything unrecognised.
 
     For a command taking experiment parameters, ``args.params`` maps each
-    given parameter flag to its text; a flag no experiment declares maps
-    to None, so selection-aware resolution reports it.
+    given parameter flag to its text, including flags no experiment
+    declares, so selection-aware resolution reports those.
     """
+    takes_params = any(option.flag == _PARAM_FLAG for option in spec.options)
+    known = {"-h", "--help", *(option.flag for option in spec.options)}
+    if takes_params:
+        known.update(_param_flags())
+    argv, unknown = _take_unknown_flags(argv, known)
     args, extras = build_parser(spec).parse_known_intermixed_args(argv)
-    unknown = [token.split("=", 1)[0] for token in extras if token.startswith("-")]
-    if any(option.flag == _PARAM_FLAG for option in spec.options):
+    if takes_params:
         args.params = {k: v for k, v in vars(args).items() if k.startswith("--")}
-        args.params.update(dict.fromkeys(unknown))
+        args.params.update(unknown)
     elif unknown:
         valid = ", ".join(option.flag for option in spec.options)
-        raise CLIError(f"unknown option '{unknown[0]}'; valid: {valid}")
-    if extras and not unknown:
+        raise CLIError(f"unknown option '{next(iter(unknown))}'; valid: {valid}")
+    if extras:
         raise CLIError(f"unexpected argument '{extras[0]}'")
     return args
 
@@ -666,9 +700,11 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         raise CLIError(f"unexpected argument '{extra[0]}'")
     # Each action accepts only its own options, so e.g. a `clear` carrying
     # an ignored eviction bound is rejected instead of wiping the store.
-    for option in _SPECS["cache"].options:
+    options = _SPECS["cache"].options
+    valid = ", ".join(o.flag for o in options if o.action in (None, action))
+    for option in options:
         if option.action not in (None, action) and getattr(args, option.dest) is not None:
-            raise CLIError(f"unknown option '{option.flag}' for 'cache {action}'")
+            raise CLIError(f"unknown option '{option.flag}'; valid: {valid}")
     store = ResultStore(args.dir) if args.dir is not None else ResultStore.default()
     if action == "stats":
         stats = store.stats()

@@ -435,3 +435,31 @@ class TestParsers:
         run_spec = next(spec for spec in COMMANDS if spec.name == "run")
         with pytest.raises(argparse.ArgumentError, match="conflicting"):
             build_parser(run_spec)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("run", "fig06", "--bogus", "1"),
+            ("run", "--bogus", "1", "fig06"),
+            ("run", "--bogus=1", "fig06"),
+            ("run", "fig06", "--bogus", "-1"),
+        ],
+    )
+    def test_unknown_param_flag_takes_its_value(self, capsys, argv):
+        # The token after an unknown flag is its value wherever the flag
+        # sits, so no Python version's argparse turns it into a selector.
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err == "error: unknown parameter '--bogus'; valid: --cols, --rows\n"
+
+    def test_unknown_option_before_an_operand(self, capsys):
+        code, _, err = run_cli(capsys, "plan", "--bogus", "1", "tiny")
+        assert code == 2
+        assert err.startswith("error: unknown option '--bogus'; valid: --shard, ")
+
+    def test_cache_option_of_another_action_lists_valid_ones(self, capsys, tmp_path):
+        code, _, err = run_cli(
+            capsys, "cache", "clear", "--dir", str(tmp_path), "--max-entries", "3"
+        )
+        assert code == 2
+        assert err == "error: unknown option '--max-entries'; valid: --dir\n"
